@@ -312,19 +312,27 @@ func BenchmarkGPSSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueue times the discrete-event core at steady queue depth:
-// each iteration schedules one event past the horizon and executes the
-// earliest one. The AtCall path plus the typed 4-ary heap make this
-// allocation-free.
+// BenchmarkEventQueue times the discrete-event core at steady pending
+// depth: each iteration schedules one event a full horizon out and
+// executes the earliest one. Q=16 and Q=4096 are the shallow and
+// one-link-many-flows depths; Q=1000000 is a synthetic dense stress far
+// beyond any repo workload. sparse/Q=19 is the paper-shaped occupancy
+// (the E2EBound chain): 19 pending events, each rescheduled an
+// exponential delay out, so consecutive events fire ~300µs apart. The
+// cancel variants schedule and cancel one event under the same pending
+// load. Every variant must stay at 0 allocs/op (benchdiff-gated).
 func BenchmarkEventQueue(b *testing.B) {
-	for _, depth := range []int{16, 4096} {
+	tick := func(any) {}
+	fill := func(q *eventq.Queue, depth int) {
+		for i := 0; i < depth; i++ {
+			q.AtCall(float64(i)*1e-6, tick, nil)
+		}
+	}
+	for _, depth := range []int{16, 4096, 1000000} {
+		horizon := float64(depth) * 1e-6
 		b.Run(fmt.Sprintf("Q=%d", depth), func(b *testing.B) {
 			var q eventq.Queue
-			tick := func(any) {}
-			horizon := float64(depth) * 1e-6
-			for i := 0; i < depth; i++ {
-				q.AtCall(float64(i)*1e-6, tick, nil)
-			}
+			fill(&q, depth)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -332,50 +340,9 @@ func BenchmarkEventQueue(b *testing.B) {
 				q.Step()
 			}
 		})
-	}
-}
-
-// BenchmarkEventWheel pits the hierarchical timing wheel (eventq.Queue)
-// against the retired 4-ary heap it replaced (eventq.Heap, kept as the
-// differential baseline) at steady pending-set sizes up to one million
-// events. Each iteration schedules one event a full horizon out and fires
-// the earliest, so the wheel's O(1) bucket insert competes with the heap's
-// O(log n) sift; both paths must stay at 0 allocs/op (benchdiff-gated).
-// The cancel variant measures handle-based O(1) cancellation under the
-// same pending load — the heap offers no cancellation at all (tombstone
-// scans were the alternative this replaced).
-func BenchmarkEventWheel(b *testing.B) {
-	tick := func(any) {}
-	for _, depth := range []int{1000, 100000, 1000000} {
-		horizon := float64(depth) * 1e-6
-		fill := func(q interface{ AtCall(float64, func(any), any) }) {
-			for i := 0; i < depth; i++ {
-				q.AtCall(float64(i)*1e-6, tick, nil)
-			}
-		}
-		b.Run(fmt.Sprintf("wheel/P=%d", depth), func(b *testing.B) {
+		b.Run(fmt.Sprintf("cancel/Q=%d", depth), func(b *testing.B) {
 			var q eventq.Queue
-			fill(&q)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.AtCall(q.Now()+horizon, tick, nil)
-				q.Step()
-			}
-		})
-		b.Run(fmt.Sprintf("heap/P=%d", depth), func(b *testing.B) {
-			var h eventq.Heap
-			fill(&h)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.AtCall(h.Now()+horizon, tick, nil)
-				h.Step()
-			}
-		})
-		b.Run(fmt.Sprintf("cancel/P=%d", depth), func(b *testing.B) {
-			var q eventq.Queue
-			fill(&q)
+			fill(&q, depth)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -383,6 +350,24 @@ func BenchmarkEventWheel(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sparse/Q=19", func(b *testing.B) {
+		const pending, gap = 19, 300e-6
+		rng := rand.New(rand.NewSource(1))
+		delays := make([]float64, 4096)
+		for i := range delays {
+			delays[i] = rng.ExpFloat64() * pending * gap
+		}
+		var q eventq.Queue
+		for i := 0; i < pending; i++ {
+			q.AtCall(delays[i], tick, nil)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q.AtCall(q.Now()+delays[i&(len(delays)-1)], tick, nil)
+			q.Step()
+		}
+	})
 }
 
 // BenchmarkChaosMatrixShard times one cell of the chaos conformance matrix

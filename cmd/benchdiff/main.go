@@ -13,10 +13,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 type benchEntry struct {
@@ -131,6 +134,48 @@ func load(path string) (benchFile, error) {
 	return f, nil
 }
 
+// report writes the comparison of oldF (read from oldPath) against newF
+// (from newPath) to w and returns the regression count. Benchmarks present
+// in only one file are listed by name; baseline benchmarks absent from the
+// new run are also counted in the summary, because they have silently left
+// the gate.
+func report(w io.Writer, oldF, newF benchFile, oldPath, newPath string, threshold float64, allocsOnly bool) (int, error) {
+	if oldF.CPU != "" && newF.CPU != "" && oldF.CPU != newF.CPU {
+		fmt.Fprintf(w, "note: files were recorded on different CPUs (%q vs %q); ratios may mislead\n", oldF.CPU, newF.CPU)
+	}
+	deltas := compare(oldF.Benchmarks, newF.Benchmarks, threshold, allocsOnly)
+	if len(deltas) == 0 {
+		return 0, errors.New("no common benchmarks")
+	}
+	regressions := 0
+	fmt.Fprintf(w, "%-48s %14s %14s %9s %10s %10s %8s\n",
+		"benchmark", "old ns/op", "new ns/op", "Δ ns/op", "old allocs", "new allocs", "Δ allocs")
+	for _, d := range deltas {
+		mark := ""
+		if d.Regressed() {
+			mark = "  << REGRESSION"
+			regressions++
+		}
+		fmt.Fprintf(w, "%-48s %14.1f %14.1f %9s %10.0f %10.0f %8s%s\n",
+			d.Name, d.OldNs, d.NewNs, d.NsDeltaPct(),
+			d.OldAllocs, d.NewAllocs, d.AllocsDelta(), mark)
+	}
+	for _, name := range onlyIn(newF.Benchmarks, oldF.Benchmarks) {
+		fmt.Fprintf(w, "%-48s only in %s\n", name, newPath)
+	}
+	vanished := onlyIn(oldF.Benchmarks, newF.Benchmarks)
+	for _, name := range vanished {
+		fmt.Fprintf(w, "%-48s only in %s\n", name, oldPath)
+	}
+	fmt.Fprintf(w, "%d benchmarks compared, %d regressions (threshold %+.0f%%)\n",
+		len(deltas), regressions, threshold*100)
+	if len(vanished) > 0 {
+		fmt.Fprintf(w, "%d baseline benchmarks absent from %s, not gated: %s\n",
+			len(vanished), newPath, strings.Join(vanished, ", "))
+	}
+	return regressions, nil
+}
+
 func main() {
 	threshold := flag.Float64("threshold", 0.20, "relative growth in ns/op or allocs/op counted as a regression")
 	allocsOnly := flag.Bool("allocs-only", false, "gate on allocs_per_op only (machine-independent; the CI mode, where the baseline was recorded on different hardware)")
@@ -149,35 +194,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if oldF.CPU != "" && newF.CPU != "" && oldF.CPU != newF.CPU {
-		fmt.Printf("note: files were recorded on different CPUs (%q vs %q); ratios may mislead\n", oldF.CPU, newF.CPU)
-	}
-	deltas := compare(oldF.Benchmarks, newF.Benchmarks, *threshold, *allocsOnly)
-	if len(deltas) == 0 {
-		fmt.Fprintln(os.Stderr, "no common benchmarks")
+	regressions, err := report(os.Stdout, oldF, newF, flag.Arg(0), flag.Arg(1), *threshold, *allocsOnly)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	regressions := 0
-	fmt.Printf("%-48s %14s %14s %9s %10s %10s %8s\n",
-		"benchmark", "old ns/op", "new ns/op", "Δ ns/op", "old allocs", "new allocs", "Δ allocs")
-	for _, d := range deltas {
-		mark := ""
-		if d.Regressed() {
-			mark = "  << REGRESSION"
-			regressions++
-		}
-		fmt.Printf("%-48s %14.1f %14.1f %9s %10.0f %10.0f %8s%s\n",
-			d.Name, d.OldNs, d.NewNs, d.NsDeltaPct(),
-			d.OldAllocs, d.NewAllocs, d.AllocsDelta(), mark)
-	}
-	for _, name := range onlyIn(newF.Benchmarks, oldF.Benchmarks) {
-		fmt.Printf("%-48s only in %s\n", name, flag.Arg(1))
-	}
-	for _, name := range onlyIn(oldF.Benchmarks, newF.Benchmarks) {
-		fmt.Printf("%-48s only in %s\n", name, flag.Arg(0))
-	}
-	fmt.Printf("%d benchmarks compared, %d regressions (threshold %+.0f%%)\n",
-		len(deltas), regressions, *threshold*100)
 	if regressions > 0 {
 		os.Exit(1)
 	}

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestCompare(t *testing.T) {
 	oldB := map[string]benchEntry{
@@ -92,5 +95,48 @@ func TestCompareAllocsOnly(t *testing.T) {
 	}
 	if d := byName["BenchmarkLeaky"]; !d.Regressed() {
 		t.Errorf("allocs-only must still catch 0 -> 1 allocs: %+v", d)
+	}
+}
+
+// TestReportVanished: a baseline benchmark missing from the new run must
+// be named and counted in the report, and must not change the regression
+// count the exit status is derived from.
+func TestReportVanished(t *testing.T) {
+	oldF := benchFile{Benchmarks: map[string]benchEntry{
+		"BenchmarkKept":  {NsPerOp: 100},
+		"BenchmarkGoneB": {NsPerOp: 100},
+		"BenchmarkGoneA": {NsPerOp: 100},
+	}}
+	newF := benchFile{Benchmarks: map[string]benchEntry{
+		"BenchmarkKept":    {NsPerOp: 100},
+		"BenchmarkRenamed": {NsPerOp: 100},
+	}}
+	var out strings.Builder
+	regressions, err := report(&out, oldF, newF, "old.json", "new.json", 0.20, true)
+	if err != nil || regressions != 0 {
+		t.Fatalf("report = %d, %v; want 0 regressions, no error", regressions, err)
+	}
+	for _, want := range []string{
+		"2 baseline benchmarks absent from new.json, not gated: BenchmarkGoneA, BenchmarkGoneB\n",
+		"BenchmarkRenamed",
+		"1 benchmarks compared, 0 regressions",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+
+	// Nothing vanished: no summary line.
+	out.Reset()
+	if _, err := report(&out, newF, newF, "a.json", "b.json", 0.20, true); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "absent from") {
+		t.Errorf("report names vanished benchmarks when none are:\n%s", out.String())
+	}
+
+	// No overlap at all stays an error (exit status 2 in main).
+	if _, err := report(&out, oldF, benchFile{Benchmarks: map[string]benchEntry{"X": {}}}, "a", "b", 0.20, true); err == nil {
+		t.Error("report with no common benchmarks returned no error")
 	}
 }

@@ -3,89 +3,38 @@
 // clock. Events scheduled for the same instant fire in the order they were
 // scheduled, which keeps simulations deterministic.
 //
-// The queue is a hierarchical timing wheel (Varghese & Lauck) with two
-// auxiliary tiers:
+// The queue is a single 4-ary min-heap over pooled nodes, ordered by
+// (time, seq). Every event carries a strictly increasing seq, so the order
+// is total and the pop order is the same on every run and for every heap
+// shape: FuzzEventQueue and the conformance replay digests pin it. Each
+// node records its heap index, so Cancel removes it in O(log n) instead of
+// leaving a tombstone, and stale Handles are caught by comparing seq.
 //
-//   - wheel: 4 levels of 256 power-of-two buckets each (8 bits per level,
-//     2^32 ticks of total span at the default 1µs resolution ≈ 71 minutes
-//     of simulated time). Scheduling hashes the event's absolute tick into
-//     the lowest level whose span covers its distance from the wheel
-//     cursor: an O(1) push onto an intrusive doubly-linked bucket list.
-//     Cancellation is an O(1) unlink. Per-level occupancy bitmaps (256
-//     bits) make "next non-empty bucket" a handful of word scans, so
-//     advancing the cursor costs O(1) amortized per event cascaded.
-//   - overflow: a typed 4-ary min-heap for events more than 2^32 ticks
-//     out. It drains into the wheel as the cursor approaches.
-//   - ready: a typed 4-ary min-heap, ordered by (time, seq), holding the
-//     events whose tick the cursor has reached. Pop takes the ready
-//     minimum.
-//
-// Determinism argument. Every event carries a strictly increasing seq, and
-// the float64→tick mapping t ↦ ⌊t/tick⌋ is monotone, so for any two
-// pending events a, b: a.tick < b.tick ⇒ a.time ≤ b.time (sub-tick time
-// differences always land in the same or a later tick). The queue
-// maintains the invariant that the ready heap holds exactly the pending
-// events with tick ≤ cursor, while the wheel and overflow tiers hold only
-// events with tick > cursor; the cursor only advances to the minimum
-// pending tick. Therefore the (time, seq) minimum of the ready heap is the
-// global (time, seq) minimum, and the pop order is bit-for-bit identical
-// to the retired 4-ary heap (kept as Heap in this package as the
-// differential baseline; see also FuzzEventQueue and the conformance
-// replay digests that pin this).
+// A heap fits the simulator's traffic. The paper-shaped experiments keep
+// tens of events pending with gaps of hundreds of microseconds, where a
+// sift touches two or three levels; a timing wheel at that occupancy
+// spends most of its time walking empty slots. At thousands pending (one
+// link carrying thousands of flows) the 4-ary heap is still only six
+// levels deep. DESIGN.md §15 records the measurements.
 package eventq
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
-const (
-	wheelBits     = 8
-	wheelSlots    = 1 << wheelBits
-	wheelMask     = wheelSlots - 1
-	wheelLevels   = 4
-	wheelSpanBits = wheelBits * wheelLevels // ticks covered by all levels
-	wheelWords    = wheelSlots / 64
-)
-
-// DefaultTick is the wheel resolution in simulated seconds. One tick is
-// 1µs: fine enough that packet-scale events (ns–µs service times) rarely
-// share a bucket spuriously, coarse enough that hour-scale simulations fit
-// in the wheel's 2^32-tick span. Sub-tick ordering is exact regardless —
-// the ready heap orders by the original float64 time.
-const DefaultTick = 1e-6
-
-// tier tags for node.level beyond the wheel levels 0..wheelLevels-1.
-const (
-	levelReady    int8 = -1 // in the ready heap
-	levelOverflow int8 = -2 // in the overflow heap
-	levelFree     int8 = -3 // on the free list (not pending)
-)
-
-// maxTick clamps the float→tick conversion so times near +Inf (rejected
-// anyway) or absurdly far in the future cannot overflow uint64. Clamped
-// events share a tick and are still ordered exactly by (time, seq).
-const maxTick = uint64(1) << 62
-
-// node carries one scheduled callback. Nodes are pooled on a free list and
-// linked intrusively into wheel buckets, so steady-state scheduling does
-// not allocate. fn is always non-nil; arg is the value it receives. Plain
-// closures scheduled via At are dispatched through a trampoline that
-// stores the closure itself in arg — func values are pointer-shaped, so
-// this boxing never allocates.
+// node carries one scheduled callback. Nodes are pooled on a free list, so
+// steady-state scheduling does not allocate. fn is always non-nil while the
+// node is pending; arg is the value it receives. Plain closures scheduled
+// via At are dispatched through a trampoline that stores the closure itself
+// in arg — func values are pointer-shaped, so this boxing never allocates.
 type node struct {
 	time float64
 	seq  uint64
 	fn   func(any)
 	arg  any
-	tick uint64
-	// prev/next link the node into its wheel bucket, or (next only) into
-	// the free list.
-	prev, next *node
-	level      int8
-	slot       int32
-	idx        int32 // position while in the ready or overflow heap
+	next *node // free-list link
+	idx  int32 // heap position while pending; -1 once fired or cancelled
 }
 
 // Handle identifies a scheduled event for cancellation. The zero Handle is
@@ -104,51 +53,19 @@ type Queue struct {
 	seq uint64
 	// steps counts executed events, for runaway detection in tests.
 	steps uint64
-	// pending is the exact number of scheduled-but-not-fired events across
-	// all tiers; Cancel decrements it (Len must never count tombstones).
-	pending int
 
-	// tickInv is ticks per second (1/resolution); set lazily on first use
-	// so the zero value works, overridable once via SetResolution.
-	tickInv float64
-	// curTick is the wheel cursor. Invariant: ready holds ticks ≤ curTick,
-	// wheel/overflow hold ticks > curTick. The cursor may run ahead of the
-	// float clock now (PeekTime advances it eagerly); pushes landing at or
-	// behind the cursor go straight to ready, which preserves order because
-	// the cursor never passes the minimum pending tick.
-	curTick uint64
-
-	ready []*node // (time, seq) 4-ary min-heap: due events
-	over  []*node // (time, seq) 4-ary min-heap: events ≥ 2^32 ticks out
-
-	buckets [wheelLevels][wheelSlots]*node
-	occ     [wheelLevels][wheelWords]uint64 // per-level bucket occupancy bitmaps
-	wheelN  int                             // events resident in wheel buckets
-
-	free *node // recycled nodes
+	heap []*node // (time, seq) 4-ary min-heap of pending events
+	free *node   // recycled nodes
 }
 
 // Now returns the current simulated time in seconds.
 func (q *Queue) Now() float64 { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return q.pending }
+func (q *Queue) Len() int { return len(q.heap) }
 
 // Steps returns the number of events executed so far.
 func (q *Queue) Steps() uint64 { return q.steps }
-
-// SetResolution sets the wheel tick size in seconds (default 1µs). It must
-// be called before the first event is scheduled; changing the tick under
-// live events would remap their buckets.
-func (q *Queue) SetResolution(tick float64) {
-	if !(tick > 0) || math.IsInf(tick, 1) {
-		panic(fmt.Sprintf("eventq: invalid resolution %v", tick))
-	}
-	if q.seq != 0 || q.pending != 0 {
-		panic("eventq: SetResolution after events were scheduled")
-	}
-	q.tickInv = 1 / tick
-}
 
 // runNullary adapts a plain closure to the internal func(any) calling
 // convention.
@@ -180,7 +97,7 @@ func (q *Queue) After(d float64, fn func()) { q.At(q.now+d, fn) }
 // AfterCall schedules fn(arg) to run d seconds from now (see AtCall).
 func (q *Queue) AfterCall(d float64, fn func(any), arg any) { q.AtCall(q.now+d, fn, arg) }
 
-// Schedule is AtCall returning a Handle for O(1) cancellation.
+// Schedule is AtCall returning a Handle for cancellation.
 func (q *Queue) Schedule(t float64, fn func(any), arg any) Handle {
 	if fn == nil {
 		panic("eventq: Schedule requires a callback")
@@ -188,30 +105,20 @@ func (q *Queue) Schedule(t float64, fn func(any), arg any) Handle {
 	return q.push(t, fn, arg)
 }
 
-// ScheduleAfter is AfterCall returning a Handle for O(1) cancellation.
+// ScheduleAfter is AfterCall returning a Handle for cancellation.
 func (q *Queue) ScheduleAfter(d float64, fn func(any), arg any) Handle {
 	return q.Schedule(q.now+d, fn, arg)
 }
 
-// Cancel removes a scheduled event. It reports whether the event was still
-// pending: a Handle whose event already fired, was already cancelled, or is
-// the zero Handle returns false. Cancellation is O(1) for wheel-resident
-// events (an intrusive unlink) and O(log n) within the small ready and
-// overflow heaps.
+// Cancel removes a scheduled event in O(log n). It reports whether the
+// event was still pending: a Handle whose event already fired, was already
+// cancelled, or is the zero Handle returns false.
 func (q *Queue) Cancel(h Handle) bool {
 	n := h.n
-	if n == nil || n.seq != h.seq || n.level == levelFree {
+	if n == nil || n.seq != h.seq || n.idx < 0 {
 		return false
 	}
-	switch n.level {
-	case levelReady:
-		heapRemove(&q.ready, int(n.idx))
-	case levelOverflow:
-		heapRemove(&q.over, int(n.idx))
-	default:
-		q.unlinkWheel(n)
-	}
-	q.pending--
+	q.remove(int(n.idx))
 	q.release(n)
 	return true
 }
@@ -226,77 +133,21 @@ func (q *Queue) push(t float64, fn func(any), arg any) Handle {
 	if math.IsInf(t, 1) {
 		panic("eventq: scheduling at +Inf; an event at 'never' would wedge Run — treat server.Never as a stall instead of scheduling it")
 	}
-	if q.tickInv == 0 {
-		q.tickInv = 1 / DefaultTick
-	}
 	q.seq++
 	n := q.alloc()
 	n.time = t
 	n.seq = q.seq
 	n.fn = fn
 	n.arg = arg
-	n.tick = q.tickOf(t)
-	q.pending++
-	q.place(n)
+	q.heap = append(q.heap, n)
+	q.siftUp(len(q.heap) - 1)
 	return Handle{n: n, seq: n.seq}
-}
-
-func (q *Queue) tickOf(t float64) uint64 {
-	ft := t * q.tickInv
-	if ft >= float64(maxTick) {
-		return maxTick
-	}
-	return uint64(ft)
-}
-
-// place routes a node to the tier matching its tick: ready if due, the
-// wheel level whose span covers its distance from the cursor, or overflow.
-func (q *Queue) place(n *node) {
-	if n.tick <= q.curTick {
-		heapPush(&q.ready, n, levelReady)
-		return
-	}
-	delta := n.tick - q.curTick
-	if delta>>wheelSpanBits != 0 {
-		heapPush(&q.over, n, levelOverflow)
-		return
-	}
-	level := (bits.Len64(delta) - 1) / wheelBits
-	slot := int((n.tick >> (uint(level) * wheelBits)) & wheelMask)
-	n.level = int8(level)
-	n.slot = int32(slot)
-	head := q.buckets[level][slot]
-	n.prev = nil
-	n.next = head
-	if head != nil {
-		head.prev = n
-	}
-	q.buckets[level][slot] = n
-	q.occ[level][slot>>6] |= 1 << (uint(slot) & 63)
-	q.wheelN++
-}
-
-func (q *Queue) unlinkWheel(n *node) {
-	level, slot := int(n.level), int(n.slot)
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		q.buckets[level][slot] = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	}
-	if q.buckets[level][slot] == nil {
-		q.occ[level][slot>>6] &^= 1 << (uint(slot) & 63)
-	}
-	n.prev, n.next = nil, nil
-	q.wheelN--
 }
 
 // nodeChunk is how many nodes one free-list refill allocates. Nodes are
 // never returned to the runtime, so chunking trades a little footprint
-// for allocation counts that amortize like the old heap's slice doubling
-// did — a fresh queue scheduling N events costs N/64 allocations, not N.
+// for allocation counts that amortize like slice doubling does — a fresh
+// queue scheduling N events costs N/64 node allocations, not N.
 const nodeChunk = 64
 
 func (q *Queue) alloc() *node {
@@ -318,146 +169,28 @@ func (q *Queue) release(n *node) {
 	// reused, and reuse bumps it via push's q.seq++ assignment.
 	n.fn = nil
 	n.arg = nil
-	n.prev = nil
-	n.level = levelFree
+	n.idx = -1
 	n.next = q.free
 	q.free = n
 }
 
-// ensureReady advances the wheel cursor until at least one event is due
-// (in the ready heap) or the queue is empty. The cursor only ever moves to
-// the minimum pending tick, which is what keeps ready's minimum global.
-func (q *Queue) ensureReady() {
-	for len(q.ready) == 0 && (q.wheelN > 0 || len(q.over) > 0) {
-		// Drain overflow events that now fit the wheel span. (The overflow
-		// heap is ordered by (time, seq); time→tick monotonicity makes its
-		// top also the minimum tick.)
-		for len(q.over) > 0 && (q.over[0].tick-q.curTick)>>wheelSpanBits == 0 {
-			q.place(heapRemove(&q.over, 0))
-		}
-		if len(q.ready) > 0 || (q.wheelN == 0 && len(q.over) == 0) {
-			return
-		}
-		q.advance(q.nextBound())
-	}
-}
-
-// nextBound returns a conservative lower bound > curTick on the minimum
-// pending tick: the earliest start of a non-empty bucket across levels, or
-// the overflow minimum. Advancing to it either makes some event due or
-// cascades it to a lower level, so ensureReady terminates in a few rounds.
-func (q *Queue) nextBound() uint64 {
-	bound := uint64(math.MaxUint64)
-	for l := 0; l < wheelLevels; l++ {
-		shift := uint(l) * wheelBits
-		cur := int((q.curTick >> shift) & wheelMask)
-		if d, ok := nextSlotDist(&q.occ[l], cur); ok {
-			if b := ((q.curTick >> shift) + uint64(d)) << shift; b < bound {
-				bound = b
-			}
-		}
-	}
-	if len(q.over) > 0 && q.over[0].tick < bound {
-		bound = q.over[0].tick
-	}
-	return bound
-}
-
-// nextSlotDist scans a 256-bit occupancy bitmap for the first set bit
-// after slot cur (cyclically), returning its distance in [1, 256].
-func nextSlotDist(occ *[wheelWords]uint64, cur int) (int, bool) {
-	start := (cur + 1) & wheelMask
-	for scanned := 0; scanned < wheelSlots; {
-		i := (start + scanned) & wheelMask
-		w := occ[i>>6] >> (uint(i) & 63)
-		avail := 64 - (i & 63)
-		if rem := wheelSlots - scanned; avail > rem {
-			avail = rem
-		}
-		if w != 0 {
-			if tz := bits.TrailingZeros64(w); tz < avail {
-				return scanned + tz + 1, true
-			}
-		}
-		scanned += avail
-	}
-	return 0, false
-}
-
-// advance moves the cursor to newTick (> curTick, ≤ the minimum pending
-// tick), collecting every bucket the cursor crosses and re-placing its
-// nodes: due nodes go to ready, the rest cascade to lower levels.
-func (q *Queue) advance(newTick uint64) {
-	var moved *node
-	for l := 0; l < wheelLevels; l++ {
-		shift := uint(l) * wheelBits
-		oldS := q.curTick >> shift
-		newS := newTick >> shift
-		if oldS == newS {
-			break // higher levels cannot differ either
-		}
-		if newS-oldS >= wheelSlots {
-			// The cursor laps this level: every bucket cascades.
-			for w := 0; w < wheelWords; w++ {
-				for q.occ[l][w] != 0 {
-					slot := w<<6 + bits.TrailingZeros64(q.occ[l][w])
-					moved = q.spliceBucket(l, slot, moved)
-				}
-			}
-		} else {
-			for s := oldS + 1; s <= newS; s++ {
-				slot := int(s & wheelMask)
-				if q.occ[l][slot>>6]&(1<<(uint(slot)&63)) != 0 {
-					moved = q.spliceBucket(l, slot, moved)
-				}
-			}
-		}
-	}
-	q.curTick = newTick
-	for moved != nil {
-		n := moved
-		moved = n.next
-		n.next = nil
-		q.place(n)
-	}
-}
-
-// spliceBucket detaches bucket (l, slot) and prepends its nodes to chain.
-func (q *Queue) spliceBucket(l, slot int, chain *node) *node {
-	head := q.buckets[l][slot]
-	q.buckets[l][slot] = nil
-	q.occ[l][slot>>6] &^= 1 << (uint(slot) & 63)
-	for head != nil {
-		n := head
-		head = head.next
-		n.prev = nil
-		n.next = chain
-		chain = n
-		q.wheelN--
-	}
-	return chain
-}
-
 // PeekTime returns the time of the earliest pending event. ok is false if
-// the queue is empty. Peeking may advance the wheel cursor (never the
-// clock), which is invisible to callers.
+// the queue is empty.
 func (q *Queue) PeekTime() (t float64, ok bool) {
-	q.ensureReady()
-	if len(q.ready) == 0 {
+	if len(q.heap) == 0 {
 		return 0, false
 	}
-	return q.ready[0].time, true
+	return q.heap[0].time, true
 }
 
 // Step executes the earliest pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (q *Queue) Step() bool {
-	q.ensureReady()
-	if len(q.ready) == 0 {
+	if len(q.heap) == 0 {
 		return false
 	}
-	n := heapRemove(&q.ready, 0)
-	q.pending--
+	n := q.heap[0]
+	q.remove(0)
 	q.now = n.time
 	q.steps++
 	fn, arg := n.fn, n.arg
@@ -475,11 +208,7 @@ func (q *Queue) Run() {
 // RunUntil executes events with time <= t, then advances the clock to t.
 // Events scheduled exactly at t do run.
 func (q *Queue) RunUntil(t float64) {
-	for {
-		et, ok := q.PeekTime()
-		if !ok || et > t {
-			break
-		}
+	for len(q.heap) > 0 && q.heap[0].time <= t {
 		q.Step()
 	}
 	if t > q.now {
@@ -492,11 +221,7 @@ func (q *Queue) RunUntil(t float64) {
 // execution (topo.Sharded): a domain may safely run every event before its
 // lookahead horizon, and the horizon itself belongs to the next window.
 func (q *Queue) RunBefore(t float64) {
-	for {
-		et, ok := q.PeekTime()
-		if !ok || et >= t {
-			break
-		}
+	for len(q.heap) > 0 && q.heap[0].time < t {
 		q.Step()
 	}
 	if t > q.now {
@@ -507,7 +232,7 @@ func (q *Queue) RunBefore(t float64) {
 // RunFor executes events for d seconds of simulated time from now.
 func (q *Queue) RunFor(d float64) { q.RunUntil(q.now + d) }
 
-// --- (time, seq) 4-ary heaps over *node for the ready/overflow tiers ---
+// --- (time, seq) 4-ary heap: the children of i are 4i+1 .. 4i+4 ---
 
 func nodeBefore(a, b *node) bool {
 	if a.time != b.time {
@@ -516,36 +241,28 @@ func nodeBefore(a, b *node) bool {
 	return a.seq < b.seq
 }
 
-func heapPush(h *[]*node, n *node, level int8) {
-	n.level = level
-	*h = append(*h, n)
-	heapSiftUp(*h, len(*h)-1)
-}
-
-// heapRemove removes and returns the node at index i, preserving heap
-// order and idx bookkeeping.
-func heapRemove(h *[]*node, i int) *node {
-	s := *h
-	n := s[i]
-	last := len(s) - 1
+// remove deletes the node at heap index i, preserving heap order and idx
+// bookkeeping. The caller releases the node.
+func (q *Queue) remove(i int) {
+	h := q.heap
+	last := len(h) - 1
 	if i != last {
-		s[i] = s[last]
-		s[i].idx = int32(i)
+		h[i] = h[last]
+		h[i].idx = int32(i)
 	}
-	s[last] = nil
-	s = s[:last]
-	*h = s
+	h[last] = nil
+	q.heap = h[:last]
 	if i < last {
-		moved := s[i]
-		heapSiftUp(s, i)
+		moved := h[i]
+		q.siftUp(i)
 		if int(moved.idx) == i {
-			heapSiftDown(s, i)
+			q.siftDown(i)
 		}
 	}
-	return n
 }
 
-func heapSiftUp(h []*node, i int) {
+func (q *Queue) siftUp(i int) {
+	h := q.heap
 	n := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -560,7 +277,8 @@ func heapSiftUp(h []*node, i int) {
 	n.idx = int32(i)
 }
 
-func heapSiftDown(h []*node, i int) {
+func (q *Queue) siftDown(i int) {
+	h := q.heap
 	n := h[i]
 	sz := len(h)
 	for {

@@ -7,7 +7,7 @@ import (
 
 // fuzzModel is the naive differential model: a sorted slice ordered by
 // (time, seq) with O(n) insertion — obviously correct, hopelessly slow,
-// and sharing no code with the wheel.
+// and sharing no code with the queue.
 type fuzzModel struct {
 	evs []fuzzModelEvent
 	now float64
@@ -56,9 +56,9 @@ func (m *fuzzModel) step() (int, bool) {
 	return e.id, true
 }
 
-// FuzzEventQueue drives the timing wheel and the naive sorted-slice model
-// with the same op sequence decoded from the fuzz input — schedule at
-// mixed scales (hitting every wheel level and the overflow tier), cancel
+// FuzzEventQueue drives the queue and the naive sorted-slice model with
+// the same op sequence decoded from the fuzz input — schedule at mixed
+// scales (µs to hours, so heap order mixes many magnitudes), cancel
 // by handle, single steps, and RunUntil windows — and requires identical
 // fire order, clock, and pending counts throughout.
 func FuzzEventQueue(f *testing.F) {
@@ -82,8 +82,8 @@ func FuzzEventQueue(f *testing.F) {
 		var ids []int
 		nextID := 0
 
-		// Time scales per 2-bit selector: level 0 (µs), mid wheel (ms),
-		// top of wheel (minutes), and overflow (> 2^32 µs).
+		// Time scales per 2-bit selector: µs, ms, minutes, and 5000 s
+		// (up to months out).
 		scales := [4]float64{1e-6, 1e-3, 60, 5000}
 
 		checked := 0
@@ -92,13 +92,13 @@ func FuzzEventQueue(f *testing.F) {
 				t.Fatalf("%s: Len = %d, model has %d pending", what, q.Len(), len(m.evs))
 			}
 			if len(fired) != len(want) {
-				t.Fatalf("%s: wheel fired %d events, model fired %d", what, len(fired), len(want))
+				t.Fatalf("%s: queue fired %d events, model fired %d", what, len(fired), len(want))
 			}
 			// Compare only events fired since the last check, keeping the
 			// whole run linear in the fire count.
 			for ; checked < len(fired); checked++ {
 				if fired[checked] != want[checked] {
-					t.Fatalf("%s: fire order diverges at %d: wheel %d, model %d",
+					t.Fatalf("%s: fire order diverges at %d: queue %d, model %d",
 						what, checked, fired[checked], want[checked])
 				}
 			}

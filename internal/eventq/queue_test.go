@@ -6,30 +6,25 @@ import (
 	"testing"
 )
 
-// TestCancelLenSteps is the regression test for the cancellation
-// bookkeeping satellite: Cancel must decrement Len exactly once, never
-// bump Steps, and a cancelled event must never fire. It exercises all
-// three tiers a pending event can live in (ready heap, wheel bucket,
-// overflow heap).
+// TestCancelLenSteps is the regression test for cancellation
+// bookkeeping: Cancel must decrement Len exactly once, never bump Steps,
+// and a cancelled event must never fire. The cancelled events sit at the
+// heap root, in the interior and at a leaf, at scales from sub-µs to
+// months.
 func TestCancelLenSteps(t *testing.T) {
 	var q Queue
 	fired := map[int]bool{}
 	rec := func(arg any) { fired[arg.(int)] = true }
 
-	// Three co-resident events per tier. Tick resolution is 1µs, so:
-	// ready-tier events need the cursor advanced past them (schedule two,
-	// fire one to drag the cursor), wheel events sit microseconds-to-
-	// minutes out, overflow events sit > 2^32 µs ≈ 71.6 min out.
-	hWheel := q.Schedule(0.001, rec, 1)
-	hWheel2 := q.Schedule(0.002, rec, 2)
-	hOver := q.Schedule(1e7, rec, 3)
-	hNear := q.Schedule(3e-7, rec, 4) // sub-tick: lands in ready after first peek
+	hMid := q.Schedule(0.001, rec, 1)
+	hMid2 := q.Schedule(0.002, rec, 2)
+	hFar := q.Schedule(1e7, rec, 3)
+	hNear := q.Schedule(3e-7, rec, 4)
 	if q.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", q.Len())
 	}
 
-	// Peek drags the cursor to the first pending tick, moving hNear's node
-	// into the ready tier without firing anything.
+	// Peeking reports the minimum without firing anything.
 	if tt, ok := q.PeekTime(); !ok || tt != 3e-7 {
 		t.Fatalf("PeekTime = %v,%v", tt, ok)
 	}
@@ -37,7 +32,7 @@ func TestCancelLenSteps(t *testing.T) {
 		t.Fatalf("Steps after peek = %d, want 0", q.Steps())
 	}
 
-	for i, h := range []Handle{hNear, hWheel, hOver} {
+	for i, h := range []Handle{hNear, hMid, hFar} {
 		if !q.Cancel(h) {
 			t.Fatalf("Cancel #%d returned false for a pending event", i)
 		}
@@ -60,7 +55,7 @@ func TestCancelLenSteps(t *testing.T) {
 		t.Fatalf("fired = %v, want only id 2", fired)
 	}
 	// The handle of a fired event is stale.
-	if q.Cancel(hWheel2) {
+	if q.Cancel(hMid2) {
 		t.Fatal("Cancel of an already-fired event returned true")
 	}
 	// The zero Handle never cancels.
@@ -94,11 +89,10 @@ func TestHandleStaleAfterReuse(t *testing.T) {
 	}
 }
 
-// TestCascadeAcrossLevels schedules events spanning every wheel level and
-// the overflow tier with heavy ties, and checks the execution order is the
-// exact (time, seq) order — i.e. cascading from high levels down to the
-// ready tier loses neither events nor ordering.
-func TestCascadeAcrossLevels(t *testing.T) {
+// TestMixedScaleOrdering schedules events from microseconds to hours
+// apart with heavy ties, and checks the execution order is the exact
+// (time, seq) order.
+func TestMixedScaleOrdering(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q Queue
@@ -108,8 +102,6 @@ func TestCascadeAcrossLevels(t *testing.T) {
 		}
 		var want []ev
 		var got []ev
-		// Scales chosen to land in level 0 (µs), 1-2 (ms-s), 3 (minutes),
-		// and overflow (> 71.6 min = 4295 s).
 		scales := []float64{1e-6, 1e-3, 1, 60, 1e4}
 		for i := 0; i < 400; i++ {
 			tt := float64(rng.Intn(16)) * scales[rng.Intn(len(scales))]
@@ -133,36 +125,102 @@ func TestCascadeAcrossLevels(t *testing.T) {
 	}
 }
 
-// TestWheelMatchesHeapWithCancels drives the wheel and the retired Heap
-// baseline with an identical random schedule, cancelling a random subset
-// on the wheel and simply skipping those ids on the heap side, and
-// requires identical execution order of the survivors. Interleaves
-// scheduling with stepping so the cursor is mid-wheel when new events
-// arrive (the "push behind the cursor" path).
-func TestWheelMatchesHeapWithCancels(t *testing.T) {
+// TestSubMicrosecondTies orders events packed within one microsecond,
+// with exact ties among them: float64 time decides first, then the
+// scheduling order.
+func TestSubMicrosecondTies(t *testing.T) {
+	var q Queue
+	var got []int
+	rec := func(arg any) { got = append(got, arg.(int)) }
+	base := 1.0
+	times := []float64{base + 7e-7, base + 1e-9, base + 7e-7, base, base + 1e-9, base + 3e-10, base}
+	for i, tt := range times {
+		q.AtCall(tt, rec, i)
+	}
+	q.Run()
+	want := []int{3, 6, 5, 1, 4, 0, 2}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestFarFutureCancels mixes events ~4 months out (1e7 s) with near ones,
+// cancels some of each, and checks the survivors fire in (time, seq)
+// order with the clock landing on each far-future time exactly.
+func TestFarFutureCancels(t *testing.T) {
+	var q Queue
+	var got []int
+	var nows []float64
+	rec := func(arg any) {
+		got = append(got, arg.(int))
+		nows = append(nows, q.Now())
+	}
+	times := []float64{1e7, 2e-3, 1e7 + 1e-6, 1e7, 5, 1e7 + 0.5, 1e-6}
+	hs := make([]Handle, len(times))
+	for i, tt := range times {
+		hs[i] = q.Schedule(tt, rec, i)
+	}
+	for _, i := range []int{3, 4, 6} {
+		if !q.Cancel(hs[i]) {
+			t.Fatalf("Cancel(%d) failed", i)
+		}
+	}
+	if q.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", q.Len())
+	}
+	// A far-future event scheduled after the cancels reuses a freed node.
+	q.AtCall(1e7, rec, 7)
+	q.Run()
+	want := []int{1, 0, 7, 2, 5}
+	wantNow := []float64{2e-3, 1e7, 1e7, 1e7 + 1e-6, 1e7 + 0.5}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] || nows[i] != wantNow[i] {
+			t.Fatalf("fired %v at %v, want %v at %v", got, nows, want, wantNow)
+		}
+	}
+	for i, h := range hs {
+		if q.Cancel(h) {
+			t.Fatalf("Cancel(%d) after Run returned true", i)
+		}
+	}
+}
+
+// TestQueueMatchesModelWithCancels drives the queue and the sorted-slice
+// model from FuzzEventQueue with an identical random schedule, cancelling
+// a random subset, and requires the identical execution order of the
+// survivors. Scheduling interleaves with stepping, so new events land
+// behind, among and beyond the pending ones.
+func TestQueueMatchesModelWithCancels(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q Queue
-		var h Heap
-		cancelled := map[int]bool{}
+		var m fuzzModel
 		var got, want []int
 		var handles []Handle
 		var ids []int
 		id := 0
+		rec := func(arg any) { got = append(got, arg.(int)) }
 		schedule := func(n int) {
 			for i := 0; i < n; i++ {
 				tt := q.Now() + rng.Float64()*float64(rng.Intn(5000))*1e-3
-				myID := id
+				handles = append(handles, q.Schedule(tt, rec, id))
+				ids = append(ids, id)
+				m.schedule(tt, id)
 				id++
-				handles = append(handles, q.Schedule(tt, func(arg any) {
-					got = append(got, arg.(int))
-				}, myID))
-				ids = append(ids, myID)
-				h.AtCall(tt, func(arg any) {
-					if !cancelled[arg.(int)] {
-						want = append(want, arg.(int))
-					}
-				}, myID)
+			}
+		}
+		step := func() {
+			q.Step()
+			if id, ok := m.step(); ok {
+				want = append(want, id)
 			}
 		}
 		schedule(100)
@@ -170,26 +228,29 @@ func TestWheelMatchesHeapWithCancels(t *testing.T) {
 			// Cancel a few random outstanding handles.
 			for i := 0; i < 3 && len(handles) > 0; i++ {
 				k := rng.Intn(len(handles))
-				if q.Cancel(handles[k]) {
-					cancelled[ids[k]] = true
+				if gotOK, wantOK := q.Cancel(handles[k]), m.cancel(ids[k]); gotOK != wantOK {
+					t.Fatalf("seed %d: Cancel(id %d) = %v, model says %v", seed, ids[k], gotOK, wantOK)
 				}
 				handles = append(handles[:k], handles[k+1:]...)
 				ids = append(ids[:k], ids[k+1:]...)
 			}
 			for i := 0; i < 10; i++ {
-				q.Step()
-				h.Step()
+				step()
+			}
+			if q.Len() != len(m.evs) {
+				t.Fatalf("seed %d: Len = %d, model has %d", seed, q.Len(), len(m.evs))
 			}
 			schedule(10)
 		}
-		q.Run()
-		h.Run()
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: wheel fired %d, heap fired %d", seed, len(got), len(want))
+		for q.Len() > 0 {
+			step()
+		}
+		if len(got) != len(want) || len(m.evs) != 0 {
+			t.Fatalf("seed %d: queue fired %d, model fired %d (%d left)", seed, len(got), len(want), len(m.evs))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("seed %d: position %d: wheel %d, heap %d", seed, i, got[i], want[i])
+				t.Fatalf("seed %d: position %d: queue %d, model %d", seed, i, got[i], want[i])
 			}
 		}
 	}
@@ -200,7 +261,7 @@ func TestWheelMatchesHeapWithCancels(t *testing.T) {
 func TestCancelZeroAlloc(t *testing.T) {
 	var q Queue
 	count := func(any) {}
-	// Warm the free list and tier slices.
+	// Warm the free list and the heap slice.
 	hs := make([]Handle, 64)
 	for i := range hs {
 		hs[i] = q.Schedule(float64(i+1), count, nil)
@@ -256,9 +317,9 @@ func TestRunBefore(t *testing.T) {
 	}
 }
 
-// TestPeekThenEarlierPush pins the cursor-runs-ahead subtlety: peeking an
-// empty-ish queue advances the wheel cursor; a later push with an earlier
-// (but still future) time must fire first regardless.
+// TestPeekThenEarlierPush pins that peeking commits to nothing: a push
+// after a peek with an earlier (but still future) time must fire first
+// regardless.
 func TestPeekThenEarlierPush(t *testing.T) {
 	var q Queue
 	var got []int
@@ -267,7 +328,6 @@ func TestPeekThenEarlierPush(t *testing.T) {
 	if tt, ok := q.PeekTime(); !ok || tt != 10 {
 		t.Fatalf("PeekTime = %v,%v", tt, ok)
 	}
-	// Cursor now sits at tick(10); these pushes land at or behind it.
 	q.AtCall(1, rec, 2)
 	q.AtCall(5, rec, 3)
 	q.AtCall(10, rec, 4)
@@ -281,38 +341,4 @@ func TestPeekThenEarlierPush(t *testing.T) {
 			t.Fatalf("order = %v, want %v", got, wantOrder)
 		}
 	}
-}
-
-// TestSetResolution covers the coarse/fine resolution knob and its misuse
-// guards.
-func TestSetResolution(t *testing.T) {
-	var q Queue
-	q.SetResolution(1e-3)
-	var got []int
-	rec := func(arg any) { got = append(got, arg.(int)) }
-	// Sub-tick spacing at 1ms resolution: ordering must still be exact.
-	q.AtCall(1.0004, rec, 2)
-	q.AtCall(1.0001, rec, 1)
-	q.AtCall(2, rec, 3)
-	q.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("order = %v", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetResolution after use should panic")
-			}
-		}()
-		q.SetResolution(1e-6)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetResolution(0) should panic")
-			}
-		}()
-		var q2 Queue
-		q2.SetResolution(0)
-	}()
 }

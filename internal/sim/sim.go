@@ -158,8 +158,8 @@ type Link struct {
 // Completions need no staleness marker: Fail cancels the pending
 // completion through its eventq.Handle, so a completion that fires always
 // belongs to the live transmission. (Earlier revisions tagged events with
-// a failure epoch and let stale completions fire as no-ops; the timing
-// wheel's O(1) cancel removed the tombstones outright.)
+// a failure epoch and let stale completions fire as no-ops; handle-based
+// cancellation removed the tombstones outright.)
 type linkEvent struct {
 	l     *Link
 	f     *Frame
